@@ -31,13 +31,6 @@ class MemoryArchitecture(abc.ABC):
 
     name: str = "abstract"
 
-    #: Whether the batched replay kernel may drive this design through
-    #: :meth:`access_timing` with deferred stat aggregation.  True for
-    #: every in-tree design — the kernel preserves exact access order —
-    #: but exotic subclasses that read ``arch.*``/device counters from
-    #: inside the demand path can opt out.
-    supports_batch_kernel: bool = True
-
     def __init__(
         self,
         config: SystemConfig,
@@ -86,7 +79,7 @@ class MemoryArchitecture(abc.ABC):
 
         Thin wrapper over :meth:`access_timing` kept as the public
         scalar entry point (tests and tools poke architectures one
-        access at a time); the batched kernel skips the per-access
+        access at a time); the fast replay loop skips the per-access
         :class:`AccessResult` allocation by using ``access_timing``
         directly.
         """
@@ -94,42 +87,6 @@ class MemoryArchitecture(abc.ABC):
         result = AccessResult(latency_ns=latency_ns, fast_hit=fast_hit)
         self.record_access_outcome(result)
         return result
-
-    def access_batch(
-        self,
-        addresses,
-        now_ns_seq,
-        is_writes,
-    ) -> tuple[list, int]:
-        """Service a pre-scheduled, time-ordered run of accesses.
-
-        Bulk (open-loop) entry point: ``addresses``/``now_ns_seq``/
-        ``is_writes`` are parallel sequences replayed in order through
-        :meth:`access_timing` with device counters deferred, then all
-        outcome stats are recorded in one shot.  Returns the latency
-        list and the fast-hit count.  Results are bit-identical to the
-        equivalent :meth:`access` loop.  (The closed-loop simulation
-        engine cannot pre-schedule issue times — each one feeds back
-        through the core clocks — so it drives ``access_timing``
-        directly and batches only the accounting.)
-        """
-        timing = self.access_timing
-        latencies: list = []
-        append = latencies.append
-        fast_hits = 0
-        self.begin_batch_stats()
-        try:
-            for address, now_ns, is_write in zip(
-                addresses, now_ns_seq, is_writes
-            ):
-                latency_ns, fast_hit = timing(address, now_ns, is_write)
-                append(latency_ns)
-                if fast_hit:
-                    fast_hits += 1
-        finally:
-            self.end_batch_stats()
-        self.record_access_batch(latencies, fast_hits)
-        return latencies, fast_hits
 
     # ------------------------------------------------------------------
     # OS co-design hooks (default: architecture is OS-agnostic)
@@ -181,7 +138,7 @@ class MemoryArchitecture(abc.ABC):
             self.counters.add("arch.fast_hits", fast_hits)
 
     # ------------------------------------------------------------------
-    # Bulk-stats plumbing for the batched kernel
+    # Bulk-stats plumbing for the fast replay loop
     # ------------------------------------------------------------------
 
     def _batch_devices(self) -> tuple:

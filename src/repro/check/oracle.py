@@ -2,9 +2,10 @@
 
 The codebase has many ways to produce one
 :class:`~repro.sim.SimulationResult`: the scalar reference loop, the
-batched and batched-paged fast kernels, arena-attached worker
-processes, inline serial execution, warm :class:`ResultCache` replays,
-and the :mod:`repro.serve` round trip.  The paper's claims rest on all
+fast replay loop (labelled ``batched`` or ``batched-paged`` by whether
+it segments at page faults), arena-attached worker processes, inline
+serial execution, warm :class:`ResultCache` replays, and the
+:mod:`repro.serve` round trip.  The paper's claims rest on all
 of them being *the same simulation*; :func:`run_execution_paths` runs
 every applicable one for a cell and reduces each to canonical digests,
 and :func:`run_invariants` adds metamorphic properties no single path
@@ -157,9 +158,9 @@ def run_execution_paths(
 ) -> List[PathResult]:
     """Run every applicable execution path for one cell.
 
-    Always: the forced-scalar reference, the auto-selected kernel (when
-    it differs), and the inline serial executor without an arena.  With
-    ``pool``: a 2-worker process pool with the shared-memory arena.
+    Always: the forced-scalar reference, the auto-selected fast loop,
+    and the inline serial executor without an arena.  With ``pool``: a
+    2-worker process pool with the shared-memory arena.
     A cold-then-warm :class:`ResultCache` pair runs in ``scratch_dir``
     (or a temporary directory).  With ``serve``: a full
     :mod:`repro.serve` HTTP round trip on an ephemeral port.
@@ -175,20 +176,17 @@ def run_execution_paths(
         PathResult(PATH_SCALAR, result_digest(result), events_digest(events))
     )
 
-    # 2. The auto-selected kernel, when it is not already the scalar one.
+    # 2. The auto-selected fast loop.
     decision = kernel_decision(design, scale.config())
-    if decision.kernel != "scalar":
-        result, events = _captured(
-            scale, design, workload, kernel=decision.kernel
+    result, events = _captured(scale, design, workload, kernel=decision.kernel)
+    paths.append(
+        PathResult(
+            f"kernel:{decision.kernel}",
+            result_digest(result),
+            events_digest(events),
+            detail=decision.reason,
         )
-        paths.append(
-            PathResult(
-                f"kernel:{decision.kernel}",
-                result_digest(result),
-                events_digest(events),
-                detail=decision.reason,
-            )
-        )
+    )
 
     # 3. The sweep runtime, inline serial, arena off.
     result, events, _ = _executor_path(
@@ -400,15 +398,11 @@ def check_warmup_boundary(
 ) -> InvariantResult:
     """Kernel parity holds at awkward warmup boundaries.
 
-    The batched kernels must cut the measured window at exactly the
-    scalar loop's record — including a zero-length warmup and a
-    one-access warmup that ends mid-chunk.
+    The fast loop must cut the measured window at exactly the scalar
+    loop's record — including a zero-length warmup and a one-access
+    warmup that ends mid-chunk.
     """
     decision = kernel_decision(design, scale.config())
-    if decision.kernel == "scalar":
-        return InvariantResult(
-            "warmup-boundary", True, f"skipped: {decision.reason}"
-        )
     problems: List[str] = []
     for warmup in (0, 1):
         probe = dataclasses.replace(scale, warmup_per_core=warmup)

@@ -1,16 +1,16 @@
 """Tracked perf-bench harness for the replay kernels.
 
-``python -m repro.experiments bench`` times both replay kernels on the
-figure-15 design set, verifies batched/scalar parity while doing so,
-times the figure-15/18 smoke sweeps end to end, and writes the whole
-record to ``BENCH_kernel.json`` so kernel throughput is tracked in CI
-alongside correctness.
+``python -m repro.experiments bench`` times the scalar reference and the
+fast replay loop on the figure-15 design set, verifies their parity
+while doing so, times the figure-15/18 smoke sweeps end to end, and
+writes the whole record to ``BENCH_kernel.json`` so kernel throughput
+is tracked in CI alongside correctness.
 
 The numbers answer three questions:
 
-* how fast is each kernel (``accesses_per_sec`` per design, telemetry
+* how fast is each loop (``accesses_per_sec`` per design, telemetry
   off, best of ``repeats``);
-* is the batched kernel still exact (``parity`` per design — byte-equal
+* is the fast loop still exact (``parity`` per design — byte-equal
   :meth:`~repro.sim.SimulationResult.to_dict` plus an identical
   telemetry event stream against the scalar reference);
 * what does a user-visible sweep cost (``figures`` wall seconds);
@@ -30,9 +30,9 @@ import sys
 import time
 from typing import Any, Dict
 
-from repro.experiments.designs import REGISTRY
+from repro.experiments.designs import REGISTRY, kernel_decision
 from repro.experiments.runner import SMOKE_SCALE, Scale, clear_sweep_cache
-from repro.sim import select_kernel, simulate
+from repro.sim import simulate
 from repro.telemetry.bus import EventBus
 from repro.telemetry.recorder import EventLog
 from repro.workloads import benchmark, build_workload
@@ -49,9 +49,9 @@ DEFAULT_BENCH_OUT = "BENCH_kernel.json"
 
 #: Designs timed by the kernel benchmark: the figure-15 comparison set
 #: plus the under-provisioned flat baseline.  Alloy-Cache and
-#: baseline_20GB_DDR3 are pager-backed and exercise the fault-segmented
-#: ``batched-paged`` kernel; the other three run the plain batched
-#: kernel under ``kernel="auto"``.
+#: baseline_20GB_DDR3 are pager-backed and exercise the fast loop's
+#: fault-segmented (``batched-paged``) mode; the other three its
+#: pager-free (``batched``) mode.
 BENCH_DESIGNS = (
     "Alloy-Cache",
     "baseline_20GB_DDR3",
@@ -94,7 +94,7 @@ def _simulate_once(
         telemetry=telemetry,
         kernel=kernel,
     )
-    return time.perf_counter() - start, result, architecture, workload
+    return time.perf_counter() - start, result
 
 
 def _throughput(label: str, scale: Scale, kernel: str, repeats: int) -> float:
@@ -102,7 +102,7 @@ def _throughput(label: str, scale: Scale, kernel: str, repeats: int) -> float:
     total = (scale.accesses_per_core + scale.warmup_per_core) * scale.num_copies
     best = float("inf")
     for _ in range(repeats):
-        elapsed, _, _, _ = _simulate_once(label, scale, kernel)
+        elapsed, _ = _simulate_once(label, scale, kernel)
         best = min(best, elapsed)
     return total / best
 
@@ -118,20 +118,14 @@ def _parity_check(label: str, scale: Scale):
         bus = EventBus()
         log = EventLog()
         bus.subscribe(log)
-        _, result, _, _ = _simulate_once(label, scale, kernel, telemetry=bus)
+        _, result = _simulate_once(label, scale, kernel, telemetry=bus)
         return (
             json.dumps(result.to_dict(), sort_keys=True),
             [event.to_dict() for event in log.events],
         )
 
-    scalar = capture("scalar")
-    auto = capture("auto")
-    _, _, architecture, workload = _simulate_once(label, scale, "scalar")
-    pager_present = (
-        architecture.os_visible_bytes < workload.config.total_capacity_bytes
-    )
-    resolved = select_kernel(architecture, workload, pager_present)
-    return scalar == auto, resolved
+    parity = capture("scalar") == capture("auto")
+    return parity, kernel_decision(label, scale.config())
 
 
 def _figure_wall_seconds(scale: Scale) -> Dict[str, float]:

@@ -190,8 +190,8 @@ def kernel_decision(label: str, config: SystemConfig) -> KernelDecision:
     """Which replay kernel ``kernel="auto"`` resolves to for ``label``.
 
     Builds the design's architecture at ``config`` and asks
-    :func:`repro.sim.select_kernel` (with no workload — the decision is
-    label-level, every registry workload provides ``stream_batches``).
+    :func:`repro.sim.select_kernel` (with no workload — only the
+    design's pager presence decides).
     Used by the sweep runtime and the serving layer to surface *why* a
     design runs on a given kernel without simulating anything.
     """

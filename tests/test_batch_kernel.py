@@ -1,10 +1,11 @@
-"""Batched-kernel parity and regression suite.
+"""Fast-loop parity and regression suite.
 
-The batched replay kernel is only allowed to be *faster* than the
-scalar reference — never different.  These tests hold the two kernels
+The fast replay loop is only allowed to be *faster* than the scalar
+reference — never different.  These tests hold the two loops
 bit-identical (full :meth:`SimulationResult.to_dict` wire form plus the
-telemetry event stream) across every registered design, and pin the
-engine behaviours the batched path had to preserve: telemetry-bus
+telemetry event stream) across every registered design, in both the
+pager-free (``batched``) and fault-segmented (``batched-paged``) modes,
+and pin the engine behaviours the fast path had to preserve: telemetry-bus
 restoration, integer fault tallies, warmup/measured accounting, and the
 bulk counter/histogram accumulators.
 """
@@ -175,12 +176,15 @@ class TestFaultSegmentParity:
     the smallest fraction exercises faults on every lane of a chunk
     (lane 0, last lane, consecutive faults), LRU evictions mid-chunk,
     and the stale-translation diversion path, while the larger
-    fractions mix long resident streaks with occasional faults.
+    fractions mix long resident streaks with occasional faults.  The
+    full-capacity case runs the same loop with no pager at all.
     """
 
     #: Fraction of total capacity the flat device exposes.  1e-7 floors
-    #: at one page (every access faults); 0.6 leaves faults rare.
-    FRACTIONS = (1e-7, 1e-3, 0.02, 0.6)
+    #: at one page (every access faults); 0.6 leaves faults rare; 1.0
+    #: is pager-free, so the fast loop runs without fault segmentation
+    #: (the tier-1 parity case for the ``batched`` mode).
+    FRACTIONS = (1e-7, 1e-3, 0.02, 0.6, 1.0)
 
     @pytest.fixture(scope="class")
     def config(self):
@@ -191,7 +195,10 @@ class TestFaultSegmentParity:
             int(config.total_capacity_bytes * fraction), config.page_bytes
         )
         architecture = FlatMemory(config, capacity_bytes=capacity)
-        assert architecture.os_visible_bytes < config.total_capacity_bytes
+        pager_backed = fraction < 1.0
+        assert pager_backed == (
+            architecture.os_visible_bytes < config.total_capacity_bytes
+        )
         workload = _smoke_workload(config)
         bus = EventBus()
         log = EventLog()
@@ -211,14 +218,14 @@ class TestFaultSegmentParity:
         scalar_result, scalar_events = self._run_flat(
             config, fraction, "scalar"
         )
-        paged_result, paged_events = self._run_flat(
-            config, fraction, "batched-paged"
+        fast_result, fast_events = self._run_flat(
+            config, fraction, "batched-paged" if fraction < 1.0 else "auto"
         )
         assert json.dumps(
-            paged_result.to_dict(), sort_keys=True
+            fast_result.to_dict(), sort_keys=True
         ) == json.dumps(scalar_result.to_dict(), sort_keys=True)
-        assert paged_events == scalar_events
-        assert paged_result.page_faults == scalar_result.page_faults
+        assert fast_events == scalar_events
+        assert fast_result.page_faults == scalar_result.page_faults
 
     def test_thrash_faults_are_measured(self, config):
         """The smallest fraction really does fault in the measured
