@@ -5,8 +5,9 @@ Every paper figure funnels through a design sweep — up to 15 designs
 × 14 workloads of independent, seed-deterministic simulation cells.
 This package makes that sweep fast, repeatable, and crash-proof:
 
-* :class:`SweepExecutor` — fans cells out across supervised worker
-  processes (``jobs=1`` is the serial degenerate case; results are
+* :class:`SweepExecutor` — fans cells out across long-lived,
+  supervised worker processes, one per job slot and sweep (``jobs=1``
+  is the serial degenerate case; results are
   bit-identical at any worker count) with per-job timeouts, bounded
   retries with exponential backoff, worker-crash isolation, and
   graceful degradation to serial execution;

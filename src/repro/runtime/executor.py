@@ -11,11 +11,16 @@ never share state, and each is seed-deterministic.
 
 Fault tolerance (see docs/RUNTIME.md):
 
-* **per-job timeout** — each pooled attempt runs in its own worker
-  process with a wall-clock deadline; an overdue worker is terminated
-  and only *its* job is charged;
+* **long-lived workers** — a pooled sweep forks at most
+  ``min(jobs, pending cells)`` worker processes, each serving one
+  attempt at a time over its own duplex pipe until the sweep ends;
+  a worker is replaced only after a crash or timeout, and no worker
+  outlives the :meth:`SweepExecutor.run` call that started it;
+* **per-job timeout** — each pooled attempt has a wall-clock
+  deadline; an overdue worker is terminated and only the job it
+  holds is charged;
 * **crash isolation** — a worker that dies (segfault, OOM-kill,
-  injected ``os._exit``) fails only its own job, wrapped in a
+  injected ``os._exit``) fails only the job it holds, wrapped in a
   :class:`~repro.runtime.faults.SweepJobError` carrying (design,
   workload, attempt) once retries are exhausted;
 * **bounded retries** — failed attempts re-queue with exponential
@@ -48,7 +53,7 @@ from __future__ import annotations
 import random
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import connection, get_context
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -120,34 +125,41 @@ class _Job:
 
 @dataclass
 class _Worker:
-    """A live worker process running exactly one cell attempt."""
+    """A live worker process and the attempt it holds (``None`` while
+    idle)."""
 
-    job: _Job
     process: object
     conn: connection.Connection
-    started: float = field(default_factory=time.monotonic)
+    job: Optional[_Job] = None
+    started: float = 0.0  # monotonic start of the held attempt
 
 
-def _cell_worker(conn, args) -> None:
-    """Child-process entry: run one attempt, ship the outcome back.
+def _cell_worker(conn) -> None:
+    """Child-process entry: run attempts until told to stop.
 
-    Everything crosses the pipe — the result on success, the exception
-    on failure (re-wrapped if unpicklable).  An injected crash
-    (``os._exit`` inside :func:`timed_cell`) bypasses all of this and
-    is detected by the parent as EOF + a dead process.
+    Each message is one attempt's :func:`timed_cell` args; ``None`` (or
+    EOF, when the parent is gone) ends the loop.  Everything crosses
+    the pipe — the result on success, the exception on failure
+    (re-wrapped if unpicklable) — and a failed attempt leaves the
+    worker ready for the next one.  An injected crash (``os._exit``
+    inside :func:`timed_cell`) bypasses all of this and is detected by
+    the parent as EOF + a dead process.
     """
     try:
-        try:
-            payload = timed_cell(args)
-        except BaseException as exc:  # noqa: BLE001 — must cross the pipe
+        for args in iter(conn.recv, None):
             try:
-                conn.send(("error", exc))
-            except Exception:
-                conn.send(
-                    ("error", RuntimeError(f"{type(exc).__name__}: {exc}"))
-                )
-        else:
-            conn.send(("ok", payload))
+                payload = timed_cell(args)
+            except BaseException as exc:  # noqa: BLE001 — must cross the pipe
+                try:
+                    conn.send(("error", exc))
+                except Exception:
+                    conn.send(
+                        ("error", RuntimeError(f"{type(exc).__name__}: {exc}"))
+                    )
+            else:
+                conn.send(("ok", payload))
+    except EOFError:  # the parent is gone
+        pass
     finally:
         conn.close()
 
@@ -310,6 +322,7 @@ class SweepExecutor:
                     corrupt_cache_entry(self.cache, scale, *cell)
 
         arena: Optional[TraceArena] = None
+        outcomes: Optional[Iterator[CellOutcome]] = None
         try:
             for design, workload in cells:
                 if (design, workload) in recovered:
@@ -364,9 +377,8 @@ class SweepExecutor:
                     self.metrics.record_arena(arena.nbytes)
             manifest = arena.manifest if arena is not None else None
 
-            for design, workload, seconds, result, events in self._execute(
-                scale, pending, fault_map, manifest
-            ):
+            outcomes = self._execute(scale, pending, fault_map, manifest)
+            for design, workload, seconds, result, events in outcomes:
                 results[(design, workload)] = result
                 if self.cache is not None:
                     self.cache.put(scale, design, workload, result)
@@ -389,6 +401,10 @@ class SweepExecutor:
                 journal.close()
             raise
         finally:
+            # Stop the sweep's workers now, not whenever the suspended
+            # generator is collected (a traceback can keep it alive).
+            if outcomes is not None:
+                outcomes.close()
             # The publisher owns the segment: unlink on every exit path
             # (completion, failure, interrupt) so /dev/shm never leaks —
             # even when workers were killed mid-attach.
@@ -492,84 +508,118 @@ class SweepExecutor:
     def _run_supervised(
         self, scale, jobs: deque, manifest: Optional[Dict] = None
     ) -> Iterator[CellOutcome]:
-        """Process-per-attempt supervisor.
+        """Worker-per-slot supervisor.
 
-        Each attempt runs in its own (cheap, forked) worker process
-        with a private result pipe, which is what buys exact fault
-        attribution: a crash or timeout charges *only* the job on that
-        worker, and killing a hung worker cannot disturb its siblings.
+        At most ``self.jobs`` long-lived (forked) workers serve the
+        sweep, each fed one attempt at a time over a private duplex
+        pipe; a worker is forked only when a ready job finds no idle
+        one, so a sweep starts at most ``min(jobs, pending cells)``
+        workers while nothing fails.  The parent knows which job every
+        busy worker holds, which is what buys exact fault attribution:
+        a crash or timeout kills only that worker and charges only its
+        job (a later job gets a fresh worker), while an attempt that
+        raised leaves its worker serving.  A freed worker is handed its
+        next cell before the result it returned is yielded, so the
+        caller's cache write and journal append overlap simulation.
         After ``degrade_after`` crashes + timeouts the remaining cells
-        finish serially inline.
+        finish serially inline.  On every exit path busy workers are
+        killed and idle ones are stopped and joined, so no worker
+        outlives the sweep.
         """
         ctx = get_context()
-        active: List[_Worker] = []
+        busy: List[_Worker] = []
+        idle: List[_Worker] = []
         failures = 0
+
+        def dispatch() -> None:
+            """Hand ready jobs to idle (else newly forked) workers until
+            every slot is busy."""
+            now = time.monotonic()
+            while jobs and len(busy) < self.jobs:
+                job = self._pop_ready(jobs, now)
+                if job is None:
+                    return
+                worker = idle.pop() if idle else self._spawn(ctx)
+                worker.job, worker.started = job, now
+                try:
+                    worker.conn.send(self._args(scale, job, manifest))
+                except OSError:
+                    pass  # died while idle: reads as EOF, a crash
+                busy.append(worker)
+
         try:
-            while jobs or active:
+            while jobs or busy:
                 if failures >= self.degrade_after:
                     # Too many pool failures: abandon worker processes.
                     self.metrics.degraded = True
-                    for worker in active:
+                    for worker in busy:
                         self._kill(worker)
                         jobs.append(worker.job)
-                    active.clear()
+                    busy.clear()
                     break
+                dispatch()
                 now = time.monotonic()
-                while jobs and len(active) < self.jobs:
-                    job = self._pop_ready(jobs, now)
-                    if job is None:
-                        break
-                    active.append(self._spawn(ctx, scale, job, manifest))
-                if not active:
+                if not busy:
                     # Everything is backing off; sleep to the earliest.
                     soonest = min(job.not_before for job in jobs)
                     time.sleep(max(0.0, soonest - now))
                     continue
                 ready = connection.wait(
-                    [worker.conn for worker in active],
-                    timeout=self._wait_timeout(active, jobs, now),
+                    [worker.conn for worker in busy],
+                    timeout=self._wait_timeout(busy, jobs, now),
                 )
                 now = time.monotonic()
-                for worker in list(active):
+                for worker in list(busy):
+                    job = worker.job
                     if worker.conn in ready:
-                        active.remove(worker)
+                        busy.remove(worker)
                         outcome, exc = self._collect(worker)
-                        if exc is None:
-                            yield outcome
+                        if isinstance(exc, WorkerCrashError):
+                            failures += 1
                         else:
-                            if isinstance(exc, WorkerCrashError):
-                                failures += 1
-                            jobs.append(self._retry(worker.job, exc))
+                            idle.append(worker)
+                        if exc is not None:
+                            jobs.append(self._retry(job, exc))
+                            continue
+                        if failures < self.degrade_after:
+                            # Keep the workers busy while the caller
+                            # caches and journals this result.
+                            dispatch()
+                        yield outcome
                     elif (
                         self.timeout is not None
                         and now - worker.started >= self.timeout
                     ):
-                        active.remove(worker)
+                        busy.remove(worker)
                         self._kill(worker)
                         failures += 1
                         timeout_error = JobTimeoutError(
-                            f"cell {worker.job.design}/"
-                            f"{worker.job.workload} exceeded "
-                            f"{self.timeout:.3g}s "
-                            f"(attempt {worker.job.attempt})"
+                            f"cell {job.design}/{job.workload} exceeded "
+                            f"{self.timeout:.3g}s (attempt {job.attempt})"
                         )
-                        jobs.append(self._retry(worker.job, timeout_error))
+                        jobs.append(self._retry(job, timeout_error))
         finally:
-            for worker in active:
+            for worker in busy:
                 self._kill(worker)
+            for worker in idle:
+                try:
+                    worker.conn.send(None)  # stop
+                except OSError:
+                    pass
+                self._reap(worker)
         if jobs:  # degraded: finish the sweep serially inline
             yield from self._run_serial(scale, jobs, manifest)
 
     def _wait_timeout(
-        self, active: List[_Worker], jobs: deque, now: float
+        self, busy: List[_Worker], jobs: deque, now: float
     ) -> Optional[float]:
         """How long :func:`connection.wait` may block: until the next
         per-job deadline or the next backoff expiry."""
         timeout: Optional[float] = None
         if self.timeout is not None:
-            deadline = min(w.started + self.timeout for w in active)
+            deadline = min(w.started + self.timeout for w in busy)
             timeout = max(0.0, deadline - now) + 0.005
-        if jobs and len(active) < self.jobs:
+        if jobs and len(busy) < self.jobs:
             soonest = min(job.not_before for job in jobs)
             wake = max(0.0, soonest - now) + 0.005
             timeout = wake if timeout is None else min(timeout, wake)
@@ -584,46 +634,46 @@ class SweepExecutor:
                 return job
         return None
 
-    def _spawn(
-        self, ctx, scale, job: _Job, manifest: Optional[Dict] = None
-    ) -> _Worker:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
+    def _spawn(self, ctx) -> _Worker:
+        parent_conn, child_conn = ctx.Pipe()
         process = ctx.Process(
-            target=_cell_worker,
-            args=(child_conn, self._args(scale, job, manifest)),
-            daemon=True,
+            target=_cell_worker, args=(child_conn,), daemon=True
         )
         process.start()
         child_conn.close()
-        return _Worker(job=job, process=process, conn=parent_conn)
+        self.metrics.workers_started += 1
+        return _Worker(process=process, conn=parent_conn)
 
     def _collect(
         self, worker: _Worker
     ) -> Tuple[Optional[CellOutcome], Optional[BaseException]]:
         """Drain a readable worker: its outcome, or the failure that
-        took it (a crash surfaces as EOF + a dead process)."""
+        took it (a crash surfaces as EOF + a dead process, which is
+        reaped here)."""
+        job = worker.job
+        worker.job = None
         try:
             status, payload = worker.conn.recv()
         except (EOFError, OSError):
             status, payload = None, None
-        worker.conn.close()
-        worker.process.join(timeout=10.0)
-        if worker.process.is_alive():  # pragma: no cover — paranoia
-            worker.process.kill()
-            worker.process.join()
         if status == "ok":
             return payload, None
         if status == "error":
             return None, payload
-        exitcode = worker.process.exitcode
+        self._reap(worker)
         return None, WorkerCrashError(
-            f"worker for cell {worker.job.design}/{worker.job.workload} "
-            f"died with exit code {exitcode} "
-            f"(attempt {worker.job.attempt})"
+            f"worker for cell {job.design}/{job.workload} "
+            f"died with exit code {worker.process.exitcode} "
+            f"(attempt {job.attempt})"
         )
 
     def _kill(self, worker: _Worker) -> None:
         worker.process.terminate()
+        self._reap(worker)
+
+    @staticmethod
+    def _reap(worker: _Worker) -> None:
+        """Join an exiting worker and close its pipe."""
         worker.process.join(timeout=10.0)
         if worker.process.is_alive():  # pragma: no cover — paranoia
             worker.process.kill()

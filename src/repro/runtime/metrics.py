@@ -61,6 +61,10 @@ class SweepMetrics:
     #: Simulated cells by replay kernel: ``"kernel[reason]"`` -> count
     #: (the :class:`~repro.sim.KernelDecision` each design resolved to).
     kernels: Dict[str, int] = field(default_factory=dict)
+    #: Worker processes forked (at most ``jobs`` per fault-free sweep;
+    #: each crash or timeout can cost one replacement).  A counter the
+    #: executor fills, not a constructor argument.
+    workers_started: int = field(default=0, init=False)
 
     def record_cell(self, stat: CellStat) -> None:
         self.cells.append(stat)
@@ -164,6 +168,7 @@ class SweepMetrics:
             f" hit-rate={self.cache_hit_rate:.1%}"
             f" wall={self.wall_seconds:.2f}s"
             f" jobs={self.jobs}"
+            f" workers={self.workers_started}"
             f" util={self.worker_utilisation:.1%}"
             f" retries={self.retries}"
             f" timeouts={self.timeouts}"

@@ -9,8 +9,11 @@ the environment plan active on purpose — equivalence and accounting
 must hold *under* injected crashes, hangs, and transient errors.
 """
 
+import multiprocessing
+
 import pytest
 
+from repro.check import result_digest
 from repro.experiments import SMOKE_SCALE
 from repro.experiments.runner import clear_sweep_cache, run_design_sweep
 from repro.runtime import (
@@ -20,8 +23,23 @@ from repro.runtime import (
     SweepExecutor,
     SweepJobError,
 )
+from repro.telemetry import InvariantViolation
 
 DESIGNS = ("PoM", "Chameleon-Opt")
+
+#: The ``DESIGNS`` x ``SMOKE_SCALE`` grid in dispatch order (6 cells).
+GRID = [(d, w) for d in DESIGNS for w in SMOKE_SCALE.benchmarks]
+
+
+def plan_faulting_first(**counts):
+    """A one-fault plan (``crashes=1`` or ``errors=1``) whose fault
+    lands on the first dispatched cell, so the rest of the sweep runs
+    after it on the same worker slots."""
+    for seed in range(1000):
+        plan = FaultPlan(seed=seed, **counts)
+        if set(plan.materialise(GRID)) == {GRID[0]}:
+            return plan
+    raise AssertionError(f"no seed puts {counts} on {GRID[0]}")
 
 
 class TestParallelEquivalence:
@@ -260,3 +278,103 @@ class TestRunDesignSweepRewiring:
         assert warm.metrics.simulated == 0
         assert warm.metrics.disk_hits == len(SMOKE_SCALE.benchmarks)
         clear_sweep_cache()
+
+
+class TestWorkerLifecycle:
+    """A pooled sweep forks one long-lived worker per job slot, replaces
+    one only after a crash or timeout, and stops them all at sweep end."""
+
+    def test_fault_free_sweep_starts_one_worker_per_slot(self):
+        executor = SweepExecutor(jobs=2, faults=None)
+        results = executor.run(SMOKE_SCALE, DESIGNS)
+        assert len(results) == len(GRID) >= 6
+        assert executor.metrics.workers_started == 2
+        assert "workers=2" in executor.metrics.summary()
+
+    def test_crash_costs_one_replacement_worker(self):
+        executor = SweepExecutor(
+            jobs=2,
+            faults=plan_faulting_first(crashes=1),
+            retries=1,
+            backoff=0.0,
+        )
+        executor.run(SMOKE_SCALE, DESIGNS)
+        assert executor.metrics.crashes == 1
+        assert executor.metrics.workers_started == 3
+
+    def test_single_cell_sweep_starts_one_worker(self):
+        executor = SweepExecutor(jobs=2, faults=None)
+        executor.run_cells(SMOKE_SCALE, [GRID[0]])
+        assert executor.metrics.workers_started == 1
+
+    def test_serial_sweep_starts_no_worker(self):
+        executor = SweepExecutor(jobs=1, faults=None)
+        executor.run(SMOKE_SCALE, ("PoM",))
+        assert executor.metrics.workers_started == 0
+        assert "workers=0" in executor.metrics.summary()
+
+    def test_worker_that_raised_keeps_serving_byte_identically(self):
+        reference = SweepExecutor(jobs=1, faults=None).run(
+            SMOKE_SCALE, DESIGNS
+        )
+        executor = SweepExecutor(
+            jobs=2,
+            faults=plan_faulting_first(errors=1),
+            retries=1,
+            backoff=0.0,
+        )
+        results = executor.run(SMOKE_SCALE, DESIGNS)
+        assert executor.metrics.errors == 1
+        assert executor.metrics.workers_started == 2
+        assert {c: result_digest(r) for c, r in results.items()} == {
+            c: result_digest(r) for c, r in reference.items()
+        }
+
+    def test_no_worker_survives_a_completed_sweep(self):
+        SweepExecutor(jobs=2, faults=None).run(SMOKE_SCALE, DESIGNS)
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_survives_exhausted_retries(self):
+        executor = SweepExecutor(
+            jobs=2,
+            faults=plan_faulting_first(errors=1),
+            retries=0,
+            backoff=0.0,
+        )
+        with pytest.raises(SweepJobError):
+            executor.run(SMOKE_SCALE, DESIGNS)
+        assert multiprocessing.active_children() == []
+
+    def test_no_worker_survives_an_interrupted_sweep(self):
+        class Abort(BaseException):
+            pass
+
+        def abort(stat, done, total):
+            raise Abort()
+
+        executor = SweepExecutor(jobs=2, faults=None, on_cell=abort)
+        # Holding the traceback keeps the sweep's frames alive, so the
+        # workers must be stopped by the executor, not by collection.
+        with pytest.raises(Abort) as excinfo:
+            executor.run(SMOKE_SCALE, DESIGNS)
+        assert multiprocessing.active_children() == []
+        assert excinfo.traceback
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched cell must be inherited by forked workers",
+    )
+    def test_no_worker_survives_an_invariant_violation(self, monkeypatch):
+        import repro.runtime.cells as cells
+
+        simulate_cell = cells.simulate_cell
+
+        def violating(scale, design, workload, *args, **kwargs):
+            if (design, workload) == GRID[1]:
+                raise InvariantViolation("injected SRRT violation")
+            return simulate_cell(scale, design, workload, *args, **kwargs)
+
+        monkeypatch.setattr(cells, "simulate_cell", violating)
+        with pytest.raises(InvariantViolation, match="injected"):
+            SweepExecutor(jobs=2, faults=None).run(SMOKE_SCALE, DESIGNS)
+        assert multiprocessing.active_children() == []
