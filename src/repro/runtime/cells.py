@@ -10,23 +10,23 @@ the fork.
 
 Telemetry rides along the same boundary: a worker cannot share the
 parent's :class:`~repro.telemetry.EventBus`, so ``timed_cell`` captures
-the cell's events on a private bus and ships them back as plain dicts
-(:meth:`TelemetryEvent.to_dict`), which the executor rehydrates with
-:func:`~repro.telemetry.event_from_dict`.  Capture is observational —
-the :class:`SimulationResult` is bit-identical with it on or off.
+the cell's events on a private bus and returns the event objects
+themselves (frozen, picklable dataclasses; pooled workers are forks of
+the same code).  Capture is observational — the
+:class:`SimulationResult` is bit-identical with it on or off.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.runtime.arena import attach_arena
 from repro.runtime.faults import apply_fault
 from repro.sim import SimulationResult, simulate
 from repro.telemetry.auditor import InvariantAuditor
 from repro.telemetry.bus import EventBus
-from repro.telemetry.events import ArenaEvent
+from repro.telemetry.events import ArenaEvent, TelemetryEvent
 from repro.telemetry.recorder import EventLog
 from repro.workloads import benchmark, build_workload
 from repro.workloads.compiled import CompiledTrace
@@ -85,14 +85,15 @@ def simulate_cell(
 
 def timed_cell(
     args: Tuple,
-) -> Tuple[str, str, float, SimulationResult, List[Dict]]:
+) -> Tuple[str, str, float, SimulationResult, List[TelemetryEvent]]:
     """Worker-process entry point: ``(scale, design, workload[,
     capture, audit[, fault, hang_seconds[, arena]]])`` in, ``(design,
     workload, seconds, result, events)`` out.
 
-    ``events`` is a list of :meth:`TelemetryEvent.to_dict` dicts (events
-    themselves carry no pickle guarantee across versions; the dict form
-    is the wire format) — empty unless ``capture`` is set.
+    ``events`` is the cell's captured :class:`TelemetryEvent` stream in
+    emission order — empty unless ``capture`` is set.  The objects cross
+    the worker pipe as they are: no per-event conversion is charged to
+    the cell's ``seconds``.
 
     ``fault`` is an injected fault kind from a
     :class:`~repro.runtime.faults.FaultPlan`, executed *inside the
@@ -154,9 +155,7 @@ def timed_cell(
                         workloads=1,
                     )
                 )
-            events = (
-                [event.to_dict() for event in log.events] if capture else []
-            )
+            events = log.events if capture else []
         else:
             result = simulate_cell(scale, design, workload, trace=trace)
             events = []

@@ -85,7 +85,7 @@ from repro.runtime.metrics import (
 from repro.sim import SimulationResult
 from repro.telemetry.auditor import InvariantViolation
 from repro.telemetry.bus import EventBus
-from repro.telemetry.events import JobRetryEvent, TelemetryEvent, event_from_dict
+from repro.telemetry.events import JobRetryEvent, TelemetryEvent
 
 #: Sweep results keyed by ``(design, workload)``.
 SweepResults = Dict[Tuple[str, str], SimulationResult]
@@ -94,8 +94,8 @@ SweepResults = Dict[Tuple[str, str], SimulationResult]
 SweepEvents = Dict[Tuple[str, str], List[TelemetryEvent]]
 
 #: One cell attempt's outcome: (design, workload, seconds, result,
-#: wire-format events).
-CellOutcome = Tuple[str, str, float, SimulationResult, List[dict]]
+#: captured events).
+CellOutcome = Tuple[str, str, float, SimulationResult, List[TelemetryEvent]]
 
 #: Default retry budget: attempts allowed = retries + 1.
 DEFAULT_RETRIES = 2
@@ -170,8 +170,11 @@ class SweepExecutor:
     Telemetry capture (``telemetry=EventBus()``) records each simulated
     cell's event stream into :attr:`events` and replays it onto the
     given bus at the parent, cell by cell in completion order — worker
-    processes cannot share the parent's bus, so events cross the pool
-    boundary as dicts and are rehydrated here.  ``audit=True`` attaches
+    processes cannot share the parent's bus, so the captured event
+    objects cross the pool boundary as they are (pickled like any
+    payload; no dict round trip).  Once a sweep completes, its cells'
+    streams in :attr:`events` follow the sweep's cell order, whatever
+    ``jobs`` is, so an export is deterministic.  ``audit=True`` attaches
     a live invariant auditor to every cell's architecture *inside* the
     worker (violations propagate out of :meth:`run` unretried — an
     audit failure is deterministic, retrying cannot fix it).
@@ -413,6 +416,11 @@ class SweepExecutor:
 
         if journal is not None:
             journal.discard()  # completed: the journal is obsolete
+        # Streams were merged in completion order; re-insert this
+        # sweep's in cell order so exports do not depend on ``jobs``.
+        for cell in cells:
+            if cell in self.events:
+                self.events[cell] = self.events.pop(cell)
         self.metrics.record_sweep(time.perf_counter() - start)
         return results
 
@@ -427,15 +435,14 @@ class SweepExecutor:
         return self.faults.hang_seconds if self.faults is not None else 0.0
 
     def _merge_events(
-        self, design: str, workload: str, events: Sequence[dict]
+        self, design: str, workload: str, events: List[TelemetryEvent]
     ) -> None:
-        """Rehydrate one cell's wire-format events and replay them on
-        the parent bus, preserving in-cell order."""
-        hydrated = [event_from_dict(data) for data in events]
-        self.events[(design, workload)] = hydrated
+        """Store one cell's captured events as they are and replay them
+        on the parent bus, preserving in-cell order."""
+        self.events[(design, workload)] = events
         bus = self.telemetry
         if bus is not None and bus.enabled:
-            for event in hydrated:
+            for event in events:
                 bus.emit(event)
 
     def _args(self, scale, job: _Job, manifest: Optional[Dict]) -> Tuple:

@@ -8,16 +8,18 @@ such occurrence with enough context to audit SRRT consistency after
 the fact (or live, see :mod:`repro.telemetry.auditor`) and to export
 the run as a Chrome/Perfetto trace.
 
-Events are frozen dataclasses with a stable ``kind`` tag; the
-``to_dict``/:func:`event_from_dict` round trip is the wire format used
-to ship events out of :class:`~repro.runtime.SweepExecutor` worker
-processes and into the JSONL exporter.
+Events are frozen dataclasses with a stable ``kind`` tag and scalar
+fields only.  They cross :class:`~repro.runtime.SweepExecutor` worker
+pipes as objects; the ``to_dict``/:func:`event_from_dict` round trip is
+the serialised form (JSONL lines, Chrome-trace ``args``, the
+``events_digest`` of :mod:`repro.check`).
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
-from typing import Any, ClassVar, Dict, Mapping, Optional, Type
+from dataclasses import dataclass, fields
+from functools import cache
+from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple, Type
 
 #: ``SegmentSwap.reason`` values.
 SWAP_REASONS = (
@@ -37,10 +39,19 @@ class TelemetryEvent:
     time_ns: float
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe plain dict, ``kind`` tag included."""
-        data = asdict(self)
+        """JSON-safe plain dict, ``kind`` tag last.  Every field is a
+        scalar, so this shallow dict equals ``dataclasses.asdict``'s."""
+        data = {
+            name: getattr(self, name) for name in field_names(type(self))
+        }
         data["kind"] = self.kind
         return data
+
+
+@cache
+def field_names(cls: Type[TelemetryEvent]) -> Tuple[str, ...]:
+    """``cls``'s dataclass field names in declaration order (cached)."""
+    return tuple(f.name for f in fields(cls))
 
 
 @dataclass(frozen=True)
@@ -235,8 +246,9 @@ def event_from_dict(data: Mapping[str, Any]) -> TelemetryEvent:
         cls = EVENT_TYPES[data["kind"]]
     except KeyError:
         raise ValueError(f"unknown event kind {data.get('kind')!r}") from None
-    names = {f.name for f in fields(cls)}
-    return cls(**{k: v for k, v in data.items() if k in names})
+    return cls(
+        **{name: data[name] for name in field_names(cls) if name in data}
+    )
 
 
 __all__ = [
@@ -255,4 +267,5 @@ __all__ = [
     "TelemetryEvent",
     "WritebackEvent",
     "event_from_dict",
+    "field_names",
 ]

@@ -14,7 +14,7 @@ import json
 from pathlib import Path
 from typing import Dict, List, Mapping, Sequence, Union
 
-from repro.telemetry.events import EpochSample, TelemetryEvent
+from repro.telemetry.events import EpochSample, TelemetryEvent, field_names
 
 #: Exporter input: one run's events, or label -> events for many runs.
 EventStream = Union[
@@ -91,8 +91,6 @@ def chrome_trace_events(
                 }
             )
         ts = event.time_ns / 1000.0  # Trace Event ts is microseconds
-        args = event.to_dict()
-        del args["kind"], args["time_ns"]
         if isinstance(event, EpochSample):
             # Counter track: cumulative engine counters over time.
             records.append(
@@ -119,7 +117,11 @@ def chrome_trace_events(
                     "ts": ts,
                     "pid": pid,
                     "tid": tid,
-                    "args": args,
+                    "args": {
+                        name: getattr(event, name)
+                        for name in field_names(type(event))
+                        if name != "time_ns"
+                    },
                 }
             )
     return records
@@ -127,16 +129,26 @@ def chrome_trace_events(
 
 def write_chrome_trace(events: EventStream, path: str | Path) -> int:
     """Write a ``chrome://tracing``/Perfetto JSON file; returns the
-    number of (non-metadata) events exported."""
+    number of (non-metadata) events exported.
+
+    The file is byte-identical to ``json.dump({"traceEvents": records,
+    "displayTimeUnit": "ns"})`` but streamed one track at a time through
+    the C encoder (``json.dump`` always takes the pure-Python one), so
+    neither the sweep's record list nor the file's text is ever held
+    whole.
+    """
     path = Path(path)
-    records: List[dict] = []
     count = 0
-    for pid, (label, stream) in enumerate(_tracks(events).items(), start=1):
-        records.extend(chrome_trace_events(stream, pid=pid, label=label))
-        count += len(stream)
-    payload = {"traceEvents": records, "displayTimeUnit": "ns"}
     with path.open("w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
+        handle.write('{"traceEvents": [')
+        tracks = enumerate(_tracks(events).items(), start=1)
+        for pid, (label, stream) in tracks:
+            if pid > 1:
+                handle.write(", ")
+            records = chrome_trace_events(stream, pid=pid, label=label)
+            handle.write(json.dumps(records)[1:-1])
+            count += len(stream)
+        handle.write('], "displayTimeUnit": "ns"}')
     return count
 
 

@@ -83,17 +83,58 @@ class TestTelemetryCapture:
         assert all(traced_executor.events.values())
 
     def test_pooled_capture_matches_serial_capture(self):
-        from repro.telemetry import EventBus
+        from repro.telemetry import EventBus, EventLog, TelemetryEvent
 
         serial = SweepExecutor(jobs=1, telemetry=EventBus())
         serial.run(SMOKE_SCALE, DESIGNS)
-        pooled = SweepExecutor(jobs=4, telemetry=EventBus())
-        pooled.run(SMOKE_SCALE, DESIGNS)
-        assert set(serial.events) == set(pooled.events)
-        for cell, stream in serial.events.items():
-            assert [e.to_dict() for e in pooled.events[cell]] == [
-                e.to_dict() for e in stream
+        for jobs in (2, 4):
+            bus = EventBus()
+            log = bus.subscribe(EventLog())
+            pooled = SweepExecutor(jobs=jobs, telemetry=bus)
+            pooled.run(SMOKE_SCALE, DESIGNS)
+            assert set(serial.events) == set(pooled.events)
+            for cell, stream in serial.events.items():
+                assert [e.to_dict() for e in pooled.events[cell]] == [
+                    e.to_dict() for e in stream
+                ]
+                # Events cross the worker pipe as objects, not dicts.
+                assert all(
+                    isinstance(e, TelemetryEvent)
+                    for e in pooled.events[cell]
+                )
+                assert pooled.events[cell] == stream
+            # The parent bus saw exactly the captured objects, cell by
+            # cell in completion order.
+            completed = [
+                (c.design, c.workload) for c in pooled.metrics.cells
             ]
+            replayed = [e for e in log.events if e.kind != "job_retry"]
+            assert replayed == [
+                event for cell in completed for event in pooled.events[cell]
+            ]
+
+    def test_trace_bytes_do_not_depend_on_jobs(self, tmp_path):
+        from repro.telemetry import EventBus, write_trace
+
+        # CAMEO cells take several PoM cells' time, so at jobs=2 a PoM
+        # cell completes before the last CAMEO one.
+        designs = ("CAMEO", "PoM")
+        cells = [(d, w) for d in designs for w in SMOKE_SCALE.benchmarks]
+        exports = {}
+        for jobs in (1, 2):
+            executor = SweepExecutor(jobs=jobs, telemetry=EventBus())
+            executor.run(SMOKE_SCALE, designs)
+            assert list(executor.events) == cells
+            tracks = {
+                f"{design}/{workload}": stream
+                for (design, workload), stream in executor.events.items()
+            }
+            for suffix in (".json", ".jsonl"):
+                path = tmp_path / f"jobs{jobs}{suffix}"
+                write_trace(tracks, path)
+                exports[jobs, suffix] = path.read_bytes()
+        assert exports[1, ".json"] == exports[2, ".json"]
+        assert exports[1, ".jsonl"] == exports[2, ".jsonl"]
 
     def test_events_replay_onto_the_parent_bus(self):
         from repro.telemetry import EventBus, EventLog

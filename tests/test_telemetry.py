@@ -2,6 +2,7 @@
 recorders, both trace exporters, and the live SRRT invariant auditor
 (clean full-registry sweep + deliberate corruption)."""
 
+import dataclasses
 import json
 
 import pytest
@@ -9,7 +10,9 @@ import pytest
 from repro.experiments import SMOKE_SCALE
 from repro.experiments.designs import REGISTRY
 from repro.telemetry import (
+    EVENT_TYPES,
     NULL_BUS,
+    ArenaEvent,
     EpochSample,
     EventBus,
     EventLog,
@@ -20,8 +23,10 @@ from repro.telemetry import (
     ModeTransition,
     PageFaultEvent,
     SegmentSwap,
+    ServeEvent,
     TimelineRecorder,
     WritebackEvent,
+    chrome_trace_events,
     event_from_dict,
     write_chrome_trace,
     write_jsonl,
@@ -195,6 +200,87 @@ class TestExporters:
         write_trace(EXPORT_EVENTS, chrome)
         assert len(jsonl.read_text().splitlines()) == 3
         assert "traceEvents" in json.loads(chrome.read_text())
+
+
+#: One event of every ``EVENT_TYPES`` class.
+EVERY_KIND = [
+    SegmentSwap(1500.0, group=2, moved_local=3, displaced_local=0,
+                reason="restore"),
+    ModeTransition(2000.0, group=1, mode="cache"),
+    IsaAllocEvent(2500.0, segment=43, alloc=False),
+    WritebackEvent(4000.0, group=0, local=5),
+    PageFaultEvent(5000.0, page=123, major=True),
+    EpochSample(6000.0, epoch=1, accesses=100.0, fast_hits=60.0,
+                swaps=3.0, faults=2),
+    JobRetryEvent(0.0, design="PoM", workload="mcf", attempt=2,
+                  reason="timeout"),
+    ArenaEvent(0.0, action="attach", segment="repro-arena-x",
+               bytes=4096, workloads=1),
+    ServeEvent(0.0, action="complete", job="abc", client="t1",
+               queue_depth=3, seconds=0.25),
+]
+
+
+def reference_chrome_trace(tracks):
+    """The one-shot form the streaming exporter must reproduce."""
+    records = []
+    for pid, (label, stream) in enumerate(tracks.items(), start=1):
+        records.extend(chrome_trace_events(stream, pid=pid, label=label))
+    return json.dumps({"traceEvents": records, "displayTimeUnit": "ns"})
+
+
+class TestExportBytes:
+    """The shallow ``to_dict`` and the streamed Chrome export are pinned
+    byte for byte to their reference forms."""
+
+    def test_every_kind_is_covered(self):
+        assert {type(e) for e in EVERY_KIND} == set(EVENT_TYPES.values())
+
+    @pytest.mark.parametrize("event", EVERY_KIND, ids=lambda e: e.kind)
+    def test_to_dict_equals_asdict_with_kind(self, event):
+        expected = {**dataclasses.asdict(event), "kind": event.kind}
+        data = event.to_dict()
+        assert data == expected
+        assert list(data) == list(expected)
+        assert event_from_dict(data) == event
+
+    @pytest.mark.parametrize("event", EVERY_KIND, ids=lambda e: e.kind)
+    def test_instant_args_are_the_dict_minus_kind_and_time(self, event):
+        (record,) = [
+            r for r in chrome_trace_events([event], pid=1, label="A")
+            if r["ph"] != "M"
+        ]
+        if isinstance(event, EpochSample):
+            assert record["ph"] == "C"
+            return
+        expected = event.to_dict()
+        del expected["kind"], expected["time_ns"]
+        assert list(record["args"].items()) == list(expected.items())
+
+    @pytest.mark.parametrize(
+        "events",
+        [
+            {},
+            [],
+            EXPORT_EVENTS,
+            EVERY_KIND,
+            {
+                "Chameleon/mcf": EVERY_KIND,
+                "PoM/mcf": EXPORT_EVENTS,
+                "PoM/lbm": [],
+                "Chameleon-Opt/comd": EVERY_KIND[::-1],
+            },
+        ],
+        ids=["no-tracks", "empty-flat", "flat", "every-kind", "tracks"],
+    )
+    def test_chrome_trace_matches_one_shot_dump(self, tmp_path, events):
+        tracks = events if isinstance(events, dict) else {"run": events}
+        path = tmp_path / "trace.json"
+        count = write_chrome_trace(events, path)
+        assert count == sum(len(stream) for stream in tracks.values())
+        assert path.read_text(encoding="utf-8") == reference_chrome_trace(
+            tracks
+        )
 
 
 class TestAuditor:
