@@ -12,7 +12,10 @@ Canonical JSON here means ``sort_keys=True`` with compact separators —
 the key ordering of the producing code can never leak into a digest.
 Floats round-trip ``json.dumps``/``loads`` exactly (``repr``-based
 encoding), so digesting the dict form is as strict as comparing the
-in-memory objects field by field.
+in-memory objects field by field.  The encoding and
+:func:`payload_digest` live in :mod:`repro.runtime.store`, shared with
+every other content address (cache keys, journal names, serve job
+ids); this module re-exports them.
 
 Infrastructure events — arena attach/detach, serve lifecycle, job
 retries — describe *how* a cell was executed, not what it computed,
@@ -25,24 +28,13 @@ exactly the simulation semantics.
 from __future__ import annotations
 
 import hashlib
-import json
 from typing import Any, Iterable, Mapping
+
+from repro.runtime.store import canonical_json_bytes, payload_digest
 
 #: Event kinds that describe execution machinery rather than simulation
 #: semantics; excluded from :func:`events_digest`.
 INFRASTRUCTURE_EVENT_KINDS = frozenset({"arena", "job_retry", "serve"})
-
-
-def canonical_json_bytes(payload: Any) -> bytes:
-    """The canonical JSON encoding: sorted keys, compact separators."""
-    return json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False
-    ).encode("utf-8")
-
-
-def payload_digest(payload: Any) -> str:
-    """SHA-256 hex digest of ``payload``'s canonical JSON bytes."""
-    return hashlib.sha256(canonical_json_bytes(payload)).hexdigest()
 
 
 def result_digest(result: Any) -> str:

@@ -7,21 +7,24 @@ every later run — on any branch, any kernel, any execution path — can
 be byte-compared against it.
 
 Keys are **content-addressed and version-independent**: a golden's
-identity is the SHA-256 of the cell description ``(scale fields minus
-``benchmarks``, design label, workload name)`` — deliberately *not*
-``repro.__version__``.  The result cache keys on the package version
-so an upgrade re-simulates; the golden store must do the opposite, so
-a version bump that silently changes simulation semantics shows up as
-a digest mismatch instead of a fresh, vacuously-green store.  An
-*intentional* semantic change is recorded by re-blessing
-(``python -m repro.experiments check --bless --note "..."``), which
-requires a changelog note explaining the change; the note and the
-recording version are stored as metadata alongside each digest.
+identity is the SHA-256 of the shared cell identity
+(:func:`repro.runtime.store.cell_identity`: scale fields minus
+``benchmarks``, design label, workload name) salted with the golden
+schema — deliberately *not* ``repro.__version__``.  The result cache
+keys on the package version so an upgrade re-simulates; the golden
+store must do the opposite, so a version bump that silently changes
+simulation semantics shows up as a digest mismatch instead of a fresh,
+vacuously-green store.  An *intentional* semantic change is recorded
+by re-blessing (``python -m repro.experiments check --bless --note
+"..."``), which requires a changelog note explaining the change; the
+note and the recording version are stored as metadata alongside each
+digest.  Blessing publishes each record atomically
+(:func:`repro.runtime.store.atomic_write`), so a killed ``--bless``
+leaves every golden either old or new, never torn.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import re
@@ -29,7 +32,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterator, Optional, Tuple
 
-from repro.check.canonical import payload_digest
+from repro.runtime.store import (
+    atomic_write,
+    cell_identity,
+    payload_digest,
+    scale_identity,
+)
 
 #: Bumped when the golden file layout changes (not when simulation
 #: semantics change — that is what the digests themselves detect).
@@ -46,27 +54,13 @@ def default_goldens_dir() -> Path:
     return Path(env) if env else DEFAULT_GOLDENS_DIR
 
 
-def scale_identity(scale: Any) -> Dict[str, Any]:
-    """The scale's identity fields, ``benchmarks`` excluded.
-
-    Mirrors :meth:`repro.runtime.ResultCache.describe`: a cell's sweep
-    siblings never influence its own result, so keying on them would
-    give one simulation many addresses.
-    """
-    fields = dataclasses.asdict(scale)
-    fields.pop("benchmarks", None)
-    return fields
-
-
 def cell_key(scale: Any, design: str, workload: str) -> str:
     """Version-independent content address of one cell."""
     return payload_digest(
-        {
-            "golden_schema": GOLDEN_SCHEMA_VERSION,
-            "scale": scale_identity(scale),
-            "design": design,
-            "workload": workload,
-        }
+        dict(
+            cell_identity(scale, design, workload),
+            golden_schema=GOLDEN_SCHEMA_VERSION,
+        )
     )
 
 
@@ -186,9 +180,11 @@ class GoldenStore:
             recorded_version=repro.__version__,
         )
         self.root.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(scale, design, workload)
-        path.write_text(
-            json.dumps(record.to_dict(), indent=2, sort_keys=True) + "\n"
+        atomic_write(
+            self.path_for(scale, design, workload),
+            (
+                json.dumps(record.to_dict(), indent=2, sort_keys=True) + "\n"
+            ).encode(),
         )
         return record
 

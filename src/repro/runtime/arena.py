@@ -12,9 +12,9 @@ views directly over the shared buffers — no per-cell regeneration, no
 pickling traces over the job pipe.
 
 The manifest is content-addressed the same way as
-:class:`~repro.runtime.cache.ResultCache` keys — SHA-256 over the
-canonical JSON of ``(Scale, workload names, repro.__version__, arena
-schema)`` — and is itself a plain JSON-safe dict, so it crosses the
+:class:`~repro.runtime.cache.ResultCache` keys — the
+:func:`~repro.runtime.store.payload_digest` of ``(Scale, workload
+names, repro.__version__, arena schema)`` — and is itself a plain JSON-safe dict, so it crosses the
 worker fork/pipe boundary as-is.
 
 Degradation is always graceful and never changes results:
@@ -38,14 +38,13 @@ attachment.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 import os
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro._version import __version__
+from repro.runtime.store import payload_digest
 from repro.trace.batch import RecordBatch, align_offset
 from repro.workloads import benchmark, build_workload
 from repro.workloads.compiled import CompiledTrace, CoreTrace, compile_trace
@@ -97,14 +96,14 @@ def arena_budget(budget: Optional[int] = None) -> int:
 
 def arena_key(scale, workloads: Sequence[str]) -> str:
     """Content address of an arena: Scale + workload names + version."""
-    payload = {
-        "scale": dataclasses.asdict(scale),
-        "workloads": list(workloads),
-        "version": __version__,
-        "arena_schema": ARENA_SCHEMA_VERSION,
-    }
-    canonical = json.dumps(payload, sort_keys=True, default=str)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return payload_digest(
+        {
+            "scale": dataclasses.asdict(scale),
+            "workloads": list(workloads),
+            "version": __version__,
+            "arena_schema": ARENA_SCHEMA_VERSION,
+        }
+    )
 
 
 def _shared_memory():

@@ -3,32 +3,35 @@
 Each ``(Scale, design, workload)`` simulation cell is deterministic
 (seeded workload synthesis, no wall-clock dependence), so its
 :class:`~repro.sim.SimulationResult` can be cached across processes and
-CLI invocations.  The cache key is the SHA-256 of the canonical JSON of
+CLI invocations.  The cache key is the
+:func:`~repro.runtime.store.payload_digest` of
 
-    {scale fields, design label, workload name,
-     repro.__version__, result schema version}
+    {**cell_identity(scale, design, workload),
+     "version": repro.__version__, "result_schema": ...}
 
 so any change to the experiment scale, the library version, or the wire
 format addresses a different entry — stale results are never returned,
-they are simply orphaned (and reclaimable with ``cache clear``).
+they are simply orphaned (and reclaimable with ``cache clear``).  The
+cell identity excludes the scale's ``benchmarks`` sibling list, so the
+same cell run in a CLI grid or a :mod:`repro.serve` batch shares one
+entry.
 
 Entries are one JSON file each, sharded by digest prefix
-(``<root>/ab/abcdef....json``).  An optional ``max_entries`` bound
-evicts least-recently-used entries (by file mtime; hits refresh it).
-All traffic is counted in :class:`CacheStats`.
+(``<root>/ab/abcdef....json``) and published with
+:func:`~repro.runtime.store.atomic_write`.  The cache is unbounded;
+``cache clear`` reclaims it.  All traffic is counted in
+:class:`CacheStats`.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import json
 import os
-import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+from repro.runtime.store import atomic_write, cell_identity, payload_digest
 from repro.sim import RESULT_SCHEMA_VERSION, SimulationResult
 
 
@@ -47,9 +50,8 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     stores: int = 0
-    evictions: int = 0
     #: Unreadable/truncated/incompatible entries dropped on lookup
-    #: (each also counts as a miss and an eviction).
+    #: (each also counts as a miss).
     corrupt: int = 0
 
     @property
@@ -65,55 +67,34 @@ class ResultCache:
     """Persistent map ``(scale, design, workload) -> SimulationResult``."""
 
     def __init__(
-        self,
-        root: Path | str | None = None,
-        *,
-        version: str | None = None,
-        max_entries: Optional[int] = None,
+        self, root: Path | str | None = None, *, version: str | None = None
     ) -> None:
         if version is None:
             from repro import __version__ as version
         self.root = Path(root) if root is not None else default_cache_dir()
         self.version = version
-        self.max_entries = max_entries
         self.stats = CacheStats()
 
     # -- keying --------------------------------------------------------
 
-    def key(self, scale: Any, design: str, workload: str) -> str:
-        """SHA-256 digest of the canonical cell description."""
-        description = self.describe(scale, design, workload)
-        canonical = json.dumps(description, sort_keys=True)
-        return hashlib.sha256(canonical.encode()).hexdigest()
-
-    def describe(
+    def _identity(
         self, scale: Any, design: str, workload: str
     ) -> Dict[str, Any]:
-        """The cell's identity, as stored alongside each entry.
+        """The shared cell identity salted with this cache's version
+        and the result schema (stored alongside each entry)."""
+        return dict(
+            cell_identity(scale, design, workload),
+            version=self.version,
+            result_schema=RESULT_SCHEMA_VERSION,
+        )
 
-        The scale's ``benchmarks`` tuple is *excluded*: it lists the
-        cell's sweep siblings, which never influence the cell's own
-        result (cells share no state).  Keying on it would give the
-        same simulation a different address depending on which grid —
-        or which :mod:`repro.serve` dispatch batch — it happened to
-        run in.
-        """
-        scale_fields = dataclasses.asdict(scale)
-        scale_fields.pop("benchmarks", None)
-        return {
-            "scale": scale_fields,
-            "design": design,
-            "workload": workload,
-            "version": self.version,
-            "result_schema": RESULT_SCHEMA_VERSION,
-        }
-
-    def _path(self, digest: str) -> Path:
+    def _path(self, identity: Dict[str, Any]) -> Path:
+        digest = payload_digest(identity)
         return self.root / digest[:2] / f"{digest}.json"
 
     def entry_path(self, scale: Any, design: str, workload: str) -> Path:
         """Where the cell's entry lives (whether or not it exists)."""
-        return self._path(self.key(scale, design, workload))
+        return self._path(self._identity(scale, design, workload))
 
     # -- traffic -------------------------------------------------------
 
@@ -124,11 +105,13 @@ class ResultCache:
 
         A corrupt entry — truncated file, invalid JSON or UTF-8, wrong
         payload shape, incompatible result schema, even an unreadable
-        file — **never raises**: it is evicted and counted as a miss
-        (plus ``stats.corrupt``/``stats.evictions``), so one damaged
-        file costs one re-simulation, not the sweep.
+        file — **never raises**: it is removed and counted as a miss
+        (plus ``stats.corrupt``), so one damaged file costs one
+        re-simulation, not the sweep.  A lookup touches the entry only
+        by reading it, so a concurrent ``cache clear`` can cost a miss
+        but never an error.
         """
-        path = self._path(self.key(scale, design, workload))
+        path = self.entry_path(scale, design, workload)
         try:
             payload = json.loads(path.read_text())
             result = SimulationResult.from_dict(payload["result"])
@@ -148,10 +131,8 @@ class ResultCache:
             except OSError:
                 pass  # unremovable (permissions): still just a miss
             self.stats.corrupt += 1
-            self.stats.evictions += 1
             self.stats.misses += 1
             return None
-        os.utime(path)  # refresh LRU position
         self.stats.hits += 1
         return result
 
@@ -162,47 +143,20 @@ class ResultCache:
         workload: str,
         result: SimulationResult,
     ) -> Path:
-        """Persist ``result``; evicts LRU entries past ``max_entries``.
+        """Persist ``result`` through :func:`atomic_write`.
 
-        Safe under concurrent writers: each writer stages into its own
-        uniquely-named temp file and publishes with :func:`os.replace`,
-        so two processes racing the same key (``--jobs`` sweeps or
-        :mod:`repro.serve` dispatch batches sharing a cache dir) each
-        land a complete entry — last replace wins, and readers never
-        observe a partial file.  A shared ``.tmp`` name would let the
-        racers interleave writes into one file and publish garbage.
+        Safe under concurrent writers (``--jobs`` sweeps or
+        :mod:`repro.serve` dispatch batches sharing a cache dir): each
+        racer lands a complete entry — last replace wins — and readers
+        never observe a partial file.
         """
-        digest = self.key(scale, design, workload)
-        path = self._path(digest)
+        identity = self._identity(scale, design, workload)
+        path = self._path(identity)
         path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "key": self.describe(scale, design, workload),
-            "result": result.to_dict(),
-        }
-        tmp = path.with_name(f".{digest}.{uuid.uuid4().hex}.tmp")
-        try:
-            tmp.write_text(json.dumps(payload))
-            os.replace(tmp, path)  # atomic publish, even when racing
-        finally:
-            tmp.unlink(missing_ok=True)  # only if the replace never ran
+        payload = {"key": identity, "result": result.to_dict()}
+        atomic_write(path, json.dumps(payload).encode())
         self.stats.stores += 1
-        if self.max_entries is not None:
-            self._evict(keep=path)
         return path
-
-    def _evict(self, keep: Path) -> None:
-        entries = sorted(
-            self._entries(), key=lambda p: p.stat().st_mtime
-        )
-        excess = len(entries) - self.max_entries
-        for path in entries:
-            if excess <= 0:
-                break
-            if path == keep:
-                continue
-            path.unlink(missing_ok=True)
-            self.stats.evictions += 1
-            excess -= 1
 
     # -- maintenance ---------------------------------------------------
 

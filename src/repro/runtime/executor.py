@@ -253,29 +253,30 @@ class SweepExecutor:
         self.events: SweepEvents = {}
 
     def run(self, scale, designs: Sequence[str]) -> SweepResults:
-        """Simulate every ``(design, workload)`` cell of ``scale``,
+        """Simulate every ``(design, workload)`` cell of the ``designs
+        × scale.benchmarks`` grid (design-major, repeats dropped),
         serving what it can from the journal and the disk cache."""
-        self._check_designs(designs)
-        cells = [
-            (design, workload)
-            for design in designs
-            for workload in scale.benchmarks
-        ]
-        journal: Optional[SweepJournal] = None
-        if self.journal_dir is not None:
-            journal = SweepJournal.for_sweep(self.journal_dir, scale, designs)
-        return self._run_cells(scale, cells, journal)
+        return self.run_cells(
+            scale,
+            list(
+                dict.fromkeys(
+                    (design, workload)
+                    for design in designs
+                    for workload in scale.benchmarks
+                )
+            ),
+        )
 
     def run_cells(
         self, scale, cells: Sequence[Tuple[str, str]]
     ) -> SweepResults:
         """Simulate an explicit list of ``(design, workload)`` cells.
 
-        The batching hook used by :mod:`repro.serve` dispatch batches:
-        unlike :meth:`run`, the grid is not the ``designs ×
-        scale.benchmarks`` cross product but exactly ``cells`` (order
-        preserved, duplicates rejected).  Cache, arena, journal, fault
-        and retry semantics are identical — a cell's result is
+        The path every sweep takes: :meth:`run` builds its grid and
+        lands here, and :mod:`repro.serve` dispatch batches call it
+        directly with arbitrary compatible cells.  Order is preserved
+        and duplicates are rejected.  Cache, arena, journal, fault and
+        retry semantics are therefore identical — a cell's result is
         bit-identical whichever entry point ran it.
         """
         seen = set()
@@ -286,7 +287,7 @@ class SweepExecutor:
         self._check_designs(sorted({design for design, _ in cells}))
         journal: Optional[SweepJournal] = None
         if self.journal_dir is not None:
-            journal = SweepJournal.for_cells(self.journal_dir, scale, cells)
+            journal = SweepJournal(self.journal_dir, scale, cells)
         return self._run_cells(scale, list(cells), journal)
 
     @staticmethod
@@ -310,8 +311,7 @@ class SweepExecutor:
 
         recovered: Dict[Tuple[str, str], SimulationResult] = {}
         if journal is not None:
-            recovered = journal.load()
-            journal.start()
+            recovered = journal.open()
 
         fault_map = (
             self.faults.materialise(cells) if self.faults is not None else {}

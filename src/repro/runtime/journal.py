@@ -9,17 +9,20 @@ replays **only the missing cells** and merges bit-identically with an
 uninterrupted run.
 
 One journal file describes exactly one sweep: its name embeds the
-SHA-256 of the sweep identity (scale fields, design list, library
+:func:`~repro.runtime.store.payload_digest` of the sweep identity
+(scale fields minus ``benchmarks``, the ordered cell list, library
 version, result schema), so a changed grid can never resume from a
-stale journal — it simply addresses a different file.  The first line
-is a ``{"kind": "sweep", ...}`` header restating that identity; every
-further line is a ``{"kind": "cell", ...}`` record.
+stale journal — it simply addresses a different file.  A CLI grid and
+a :mod:`repro.serve` dispatch batch are both just cell lists, so there
+is one identity and one naming (``sweep-<digest16>.jsonl``).  The
+first line is a ``{"kind": "sweep", ...}`` header restating that
+identity; every further line is a ``{"kind": "cell", ...}`` record.
 
 Crash tolerance on the journal itself: a kill mid-append leaves a
-truncated final line.  :meth:`SweepJournal.load` stops at the first
-line that does not parse (or lacks its newline), remembers the byte
-offset of the last good line, and :meth:`SweepJournal.start` truncates
-the file there before appending — the partial record is dropped and
+truncated final line.  :meth:`SweepJournal.open` reads the file with
+the shared torn-tail reader, which stops at the first line that does
+not parse (or lacks its newline), and truncates the file just past the
+last good line before appending — the partial record is dropped and
 its cell re-runs.
 
 Journals live next to the :class:`~repro.runtime.cache.ResultCache`
@@ -30,13 +33,13 @@ marker of an interrupted sweep.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Sequence, Tuple
 
+from repro._version import __version__
+from repro.runtime.store import payload_digest, read_jsonl, scale_identity
 from repro.sim import RESULT_SCHEMA_VERSION, SimulationResult
 
 #: Journal cells keyed by ``(design, workload)``.
@@ -44,106 +47,52 @@ JournalCells = Dict[Tuple[str, str], SimulationResult]
 
 
 class SweepJournal:
-    """Append-only JSONL checkpoint of one sweep's completed cells."""
+    """Append-only JSONL checkpoint of one sweep's completed cells.
 
-    def __init__(self, path: Path | str, identity: Optional[dict] = None):
-        self.path = Path(path)
-        #: JSON-normalised sweep identity (``None`` skips validation).
-        self.identity = identity
-        self._handle = None
-        self._clean = 0  # byte offset of the last fully-parsed line
+    ``SweepJournal(root, scale, cells)`` is the journal of the sweep
+    that runs exactly ``cells`` (ordered ``(design, workload)`` pairs)
+    at ``scale``; it lives under ``root`` with its identity digest in
+    its name.
+    """
 
-    @classmethod
-    def for_sweep(
-        cls,
-        root: Path | str,
-        scale: Any,
-        designs: Sequence[str],
-        version: Optional[str] = None,
-    ) -> "SweepJournal":
-        """The journal for one ``(scale, designs, version)`` sweep,
-        living under ``root`` with the identity digest in its name."""
-        if version is None:
-            from repro import __version__ as version
-        identity = json.loads(
-            json.dumps(
-                {
-                    "scale": dataclasses.asdict(scale),
-                    "designs": list(designs),
-                    "version": version,
-                    "result_schema": RESULT_SCHEMA_VERSION,
-                }
-            )
-        )
-        digest = hashlib.sha256(
-            json.dumps(identity, sort_keys=True).encode()
-        ).hexdigest()
-        return cls(Path(root) / f"sweep-{digest[:16]}.jsonl", identity)
-
-    @classmethod
-    def for_cells(
-        cls,
+    def __init__(
+        self,
         root: Path | str,
         scale: Any,
         cells: Sequence[Tuple[str, str]],
-        version: Optional[str] = None,
-    ) -> "SweepJournal":
-        """Like :meth:`for_sweep`, but for an explicit cell list (the
-        :meth:`~repro.runtime.executor.SweepExecutor.run_cells` path
-        used by :mod:`repro.serve` dispatch batches) — the identity
-        names each ``(design, workload)`` pair instead of a design ×
-        ``scale.benchmarks`` grid."""
-        if version is None:
-            from repro import __version__ as version
-        identity = json.loads(
+    ) -> None:
+        #: JSON-normalised sweep identity, restated by the header line.
+        self.identity: Dict[str, Any] = json.loads(
             json.dumps(
                 {
-                    "scale": dataclasses.asdict(scale),
+                    "scale": scale_identity(scale),
                     "cells": [list(cell) for cell in cells],
-                    "version": version,
+                    "version": __version__,
                     "result_schema": RESULT_SCHEMA_VERSION,
                 }
             )
         )
-        digest = hashlib.sha256(
-            json.dumps(identity, sort_keys=True).encode()
-        ).hexdigest()
-        return cls(Path(root) / f"cells-{digest[:16]}.jsonl", identity)
+        digest = payload_digest(self.identity)
+        self.path = Path(root) / f"sweep-{digest[:16]}.jsonl"
+        self._handle = None
 
-    # -- resume --------------------------------------------------------
+    def open(self) -> JournalCells:
+        """Recover the cells of a previous interrupted run and open the
+        journal for appending.
 
-    def load(self) -> JournalCells:
-        """Cells recovered from a previous interrupted run.
-
-        Tolerates a truncated tail (kill mid-append) by stopping at the
-        first unparseable or newline-less line; everything before it is
-        trusted.  A missing, empty, or wrong-identity journal recovers
-        nothing and will be rewritten from scratch by :meth:`start`.
+        The file is trusted up to its first torn or malformed line
+        (:func:`~repro.runtime.store.read_jsonl`); anything after it is
+        truncated away before the first append, so a partial record's
+        cell simply re-runs.  A missing, empty, or wrong-identity
+        journal recovers nothing and is rewritten from a fresh header.
         """
+        header = dict(self.identity, kind="sweep")
         recovered: JournalCells = {}
-        self._clean = 0
-        try:
-            data = self.path.read_bytes()
-        except FileNotFoundError:
-            return recovered
-        offset = 0
-        header_seen = False
-        for line in data.splitlines(keepends=True):
-            if not line.endswith(b"\n"):
-                break
-            try:
-                entry = json.loads(line)
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                break
-            if not isinstance(entry, dict):
-                break
-            if not header_seen:
-                expected = dict(self.identity or {}, kind="sweep")
-                if entry.get("kind") != "sweep" or (
-                    self.identity is not None and entry != expected
-                ):
-                    return {}  # foreign or stale journal: start over
-                header_seen = True
+        clean = 0  # byte offset just past the last trusted line
+        for entry, end in read_jsonl(self.path):
+            if clean == 0:
+                if entry != header:
+                    break  # foreign or stale journal: start over
             elif entry.get("kind") == "cell":
                 try:
                     result = SimulationResult.from_dict(entry["result"])
@@ -153,21 +102,15 @@ class SweepJournal:
                 recovered[cell] = result
             else:
                 break
-            offset += len(line)
-        self._clean = offset
+            clean = end
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._handle = self.path.open("a+b")
+        self._handle.truncate(clean)
+        if clean == 0:
+            self._write_line(header)
         return recovered
 
     # -- writing -------------------------------------------------------
-
-    def start(self) -> None:
-        """Open for appending, dropping any partial trailing record
-        (and writing the header when the journal is fresh)."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._handle = self.path.open("a+b")
-        self._handle.truncate(self._clean)
-        if self._clean == 0:
-            header = dict(self.identity or {}, kind="sweep")
-            self._write_line(header)
 
     def record(
         self,
@@ -190,7 +133,7 @@ class SweepJournal:
 
     def _write_line(self, entry: dict) -> None:
         if self._handle is None:
-            raise RuntimeError("journal not started")
+            raise RuntimeError("journal not open")
         self._handle.write(json.dumps(entry).encode() + b"\n")
         self._handle.flush()
         os.fsync(self._handle.fileno())

@@ -9,24 +9,24 @@ it, and re-queues the requests; job digests are recomputed from the
 request identity, so a client that was told "checkpointed, poll
 ``/v1/jobs/<id>``" finds its job under the same id.
 
-The same torn-tail tolerance as the sweep journal applies on load:
-parsing stops at the first line that is incomplete or malformed (a
-kill mid-write costs the tail, never the file), and a header from a
-different wire version discards the whole checkpoint rather than
-guessing at its meaning.  Unlike the sweep journal the file is written
-in one shot at drain time (staged + ``os.replace``), not appended
-per-event — the queue is only ever persisted whole.
+Loading uses the sweep journal's torn-tail reader
+(:func:`repro.runtime.store.read_jsonl`): parsing stops at the first
+line that is incomplete or malformed (a kill mid-write costs the tail,
+never the file), and a header from a different wire version discards
+the whole checkpoint rather than guessing at its meaning.  Unlike the
+sweep journal the file is written in one shot at drain time
+(:func:`repro.runtime.store.atomic_write`), not appended per-event —
+the queue is only ever persisted whole.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import uuid
 from pathlib import Path
 from typing import List, Sequence
 
 from repro._version import __version__
+from repro.runtime.store import atomic_write, read_jsonl
 from repro.serve.protocol import (
     BadRequest,
     SimRequest,
@@ -73,15 +73,7 @@ class QueueCheckpoint:
                     sort_keys=True,
                 )
             )
-        tmp = self.path.with_name(f".{CHECKPOINT_NAME}.{uuid.uuid4().hex}.tmp")
-        try:
-            with tmp.open("wb") as handle:
-                handle.write(("\n".join(lines) + "\n").encode())
-                handle.flush()
-                os.fsync(handle.fileno())
-            os.replace(tmp, self.path)
-        finally:
-            tmp.unlink(missing_ok=True)
+        atomic_write(self.path, ("\n".join(lines) + "\n").encode())
         return self.path
 
     # -- loading -------------------------------------------------------
@@ -89,29 +81,16 @@ class QueueCheckpoint:
     def load(self) -> List[SimRequest]:
         """Queued requests from a previous drain (tolerates a torn
         tail; a missing or foreign-wire checkpoint recovers nothing)."""
-        try:
-            data = self.path.read_bytes()
-        except FileNotFoundError:
-            return []
+        entries = (entry for entry, _ in read_jsonl(self.path))
+        header = next(entries, None)
+        if (
+            header is None
+            or header.get("kind") != "serve-queue"
+            or header.get("wire") != WIRE_VERSION
+        ):
+            return []  # foreign or incompatible checkpoint
         requests: List[SimRequest] = []
-        header_seen = False
-        for line in data.splitlines(keepends=True):
-            if not line.endswith(b"\n"):
-                break  # torn tail: trust nothing past it
-            try:
-                entry = json.loads(line)
-            except (json.JSONDecodeError, UnicodeDecodeError):
-                break
-            if not isinstance(entry, dict):
-                break
-            if not header_seen:
-                if (
-                    entry.get("kind") != "serve-queue"
-                    or entry.get("wire") != WIRE_VERSION
-                ):
-                    return []  # foreign or incompatible checkpoint
-                header_seen = True
-                continue
+        for entry in entries:
             if entry.get("kind") != "job":
                 break
             try:

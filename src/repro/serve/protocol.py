@@ -22,12 +22,12 @@ still share one simulation.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Tuple, Union
 
 from repro.experiments.runner import Scale
+from repro.runtime.store import cell_identity, payload_digest
 
 #: Version of the serve wire format (requests, responses, checkpoint).
 WIRE_VERSION = 1
@@ -98,9 +98,9 @@ class SimRequest:
         return (self.design, self.workload)
 
     def scale(self) -> Scale:
-        """The cell's execution scale (``benchmarks`` is just the one
-        workload — cache keys ignore it, see
-        :meth:`repro.runtime.ResultCache.describe`)."""
+        """The cell's execution scale.  ``benchmarks`` is just the one
+        workload; no cell identity includes it (see
+        :func:`repro.runtime.store.cell_identity`)."""
         return Scale(
             fast_mb=self.fast_mb,
             ratio=self.ratio,
@@ -117,16 +117,14 @@ class SimRequest:
         return tuple(getattr(self, name) for name in self.SCALE_FIELDS)
 
     def identity(self) -> Dict[str, Any]:
-        """What the job digest covers: the cell and its scale — not
-        the requesting ``client`` or its ``priority``."""
-        data = {name: getattr(self, name) for name in self.SCALE_FIELDS}
-        data.update(
+        """What the job digest covers: the shared cell identity salted
+        with the request kind and wire version — not the requesting
+        ``client`` or its ``priority``."""
+        return dict(
+            cell_identity(self.scale(), self.design, self.workload),
             kind=KIND_SIMULATE,
             wire=WIRE_VERSION,
-            design=self.design,
-            workload=self.workload,
         )
-        return data
 
     @property
     def digest(self) -> str:
@@ -299,10 +297,10 @@ def request_from_dict(data: Mapping[str, Any]) -> ServeRequest:
 
 
 def request_digest(identity: Mapping[str, Any]) -> str:
-    """Job id: SHA-256 over the canonical JSON identity, truncated to
-    16 hex chars (64 bits — plenty for an in-memory job table)."""
-    canonical = json.dumps(dict(identity), sort_keys=True)
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    """Job id: :func:`~repro.runtime.store.payload_digest` of the
+    identity, truncated to 16 hex chars (64 bits — plenty for an
+    in-memory job table)."""
+    return payload_digest(dict(identity))[:16]
 
 
 def canonical_payload(payload: Mapping[str, Any]) -> bytes:

@@ -5,6 +5,7 @@ injected digest mismatch makes ``check`` exit non-zero.
 """
 
 import json
+import os
 import shutil
 from pathlib import Path
 
@@ -32,7 +33,7 @@ from repro.check import (
 from repro.check.fuzz import ACCESSES_RANGE, COPIES_CHOICES, FAST_MB_CHOICES
 from repro.experiments.__main__ import main
 from repro.experiments.designs import REGISTRY
-from repro.experiments.runner import SMOKE_SCALE
+from repro.experiments.runner import SMOKE_SCALE, Scale
 from tests.conftest import tiny_scale
 
 COMMITTED_GOLDENS = Path(__file__).parent / "goldens"
@@ -138,6 +139,38 @@ class TestGoldenStore:
     def test_record_schema_gate(self):
         with pytest.raises(ValueError, match="unsupported golden schema"):
             GoldenRecord.from_dict({"schema": None})
+
+    def test_failed_rebless_leaves_previous_golden(
+        self, runtime_dirs, monkeypatch
+    ):
+        """A ``--bless`` killed mid-publish must not tear a golden:
+        the previous record stays byte-identical, no temp file stays."""
+        store = GoldenStore(runtime_dirs.goldens)
+        store.put(TINY, "PoM", "mcf", "a" * 64, "b" * 64, "initial")
+        path = store.path_for(TINY, "PoM", "mcf")
+        before = path.read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("injected: publish failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="injected"):
+            store.put(TINY, "PoM", "mcf", "c" * 64, "d" * 64, "re-bless")
+        assert path.read_bytes() == before
+        assert [p.name for p in runtime_dirs.goldens.iterdir()] == [path.name]
+
+    def test_committed_golden_names_match_their_address(self):
+        """Every committed golden sits exactly where ``path_for``
+        looks for it, so a change to the cell-key encoding cannot
+        silently orphan a golden (no simulation needed)."""
+        store = GoldenStore(COMMITTED_GOLDENS)
+        records = list(store.records())
+        assert len(records) == 45
+        for path, record in records:
+            address = store.path_for(
+                Scale(**record.scale), record.design, record.workload
+            )
+            assert path.name == address.name
 
 
 class TestSampling:

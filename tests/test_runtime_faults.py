@@ -12,6 +12,7 @@ suite stays meaningful when CI layers its own ``$REPRO_FAULTS`` plan
 over the whole test run (the fault-matrix job).
 """
 
+import dataclasses
 import pickle
 import random
 
@@ -328,6 +329,12 @@ class _Abort(BaseException):
     executor's journal-preserving cleanup may swallow it."""
 
 
+def _journal(root, scale=TINY, designs=DESIGNS):
+    """The journal ``SweepExecutor.run(scale, designs)`` keeps."""
+    cells = [(d, w) for d in designs for w in scale.benchmarks]
+    return SweepJournal(root, scale, cells)
+
+
 def _abort_after(n):
     def on_cell(stat, done, total):
         if done == n:
@@ -348,7 +355,7 @@ class TestJournalResume:
         )
         with pytest.raises(_Abort):
             interrupted.run(TINY, DESIGNS)
-        journal = SweepJournal.for_sweep(tmp_path, TINY, DESIGNS)
+        journal = _journal(tmp_path)
         assert journal.exists
 
         resumed = SweepExecutor(jobs=1, faults=None, journal_dir=tmp_path)
@@ -373,7 +380,7 @@ class TestJournalResume:
         )
         with pytest.raises(_Abort):
             interrupted.run(TINY, DESIGNS)
-        journal = SweepJournal.for_sweep(tmp_path, TINY, DESIGNS)
+        journal = _journal(tmp_path)
         # A kill mid-append leaves a torn half-record at the tail.
         with journal.path.open("ab") as handle:
             handle.write(b'{"kind": "cell", "design": "PoM", "work')
@@ -386,7 +393,7 @@ class TestJournalResume:
     def test_foreign_journal_content_is_discarded(
         self, tmp_path, reference
     ):
-        journal = SweepJournal.for_sweep(tmp_path, TINY, DESIGNS)
+        journal = _journal(tmp_path)
         journal.path.parent.mkdir(parents=True, exist_ok=True)
         journal.path.write_text(
             '{"kind": "sweep", "identity": {"something": "else"}}\n'
@@ -398,11 +405,17 @@ class TestJournalResume:
         assert {c: r.to_dict() for c, r in results.items()} == reference
 
     def test_journal_files_are_sweep_specific(self, tmp_path):
-        a = SweepJournal.for_sweep(tmp_path, TINY, DESIGNS)
-        b = SweepJournal.for_sweep(tmp_path, TINY, DESIGNS[:1])
-        c = SweepJournal.for_sweep(tmp_path, SMOKE_SCALE, DESIGNS)
+        a = _journal(tmp_path)
+        b = _journal(tmp_path, designs=DESIGNS[:1])
+        c = _journal(tmp_path, scale=SMOKE_SCALE)
         assert len({a.path, b.path, c.path}) == 3
         assert all(p.path.name.startswith("sweep-") for p in (a, b, c))
+        # A grid and an explicit cell list (a serve dispatch batch)
+        # share one identity; the sibling ``benchmarks`` tuple is not
+        # part of it.
+        batch_scale = dataclasses.replace(TINY, benchmarks=("mcf",))
+        cells = [(d, w) for d in DESIGNS for w in TINY.benchmarks]
+        assert SweepJournal(tmp_path, batch_scale, cells).path == a.path
 
     def test_resume_composes_with_faults(self, tmp_path, reference):
         """Interrupt a *faulted* sweep, resume under the same plan:

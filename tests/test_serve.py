@@ -8,13 +8,16 @@ takes well under a second.
 """
 
 import asyncio
+import dataclasses
 import json
 import threading
+from types import SimpleNamespace
 
 import pytest
 
 from repro import api
-from repro.runtime import ResultCache
+from repro.experiments.runner import DEFAULT_SCALE
+from repro.runtime import ResultCache, SweepExecutor
 from repro.serve import (
     BadRequest,
     Client,
@@ -28,6 +31,7 @@ from repro.serve import (
     canonical_payload,
     request_from_dict,
 )
+from repro.serve.dispatcher import Dispatcher
 from repro.serve.metrics import METRICS_SCHEMA_VERSION, ServerMetrics, percentile
 from repro.serve.scheduler import CHECKPOINTED, DONE, Job
 from repro.telemetry import EventBus
@@ -266,6 +270,76 @@ class TestCheckpoint:
             json.dumps({"kind": "serve-queue", "wire": 999}) + "\n"
         )
         assert ckpt.load() == []
+
+
+# ----------------------------------------------------------------------
+# One cell identity across the CLI and the service
+# ----------------------------------------------------------------------
+
+
+def _wire_fields(scale):
+    """A scale's fields as a client would send them on the wire."""
+    return {name: getattr(scale, name) for name in SimRequest.SCALE_FIELDS}
+
+
+class TestSharedCellIdentity:
+    def test_cli_and_serve_cells_share_one_cache_entry(self, tmp_path):
+        """The same cell built by the CLI grid, a simulate request, a
+        sweep-request expansion and a dispatch batch resolves to one
+        result-cache entry."""
+        cli = dataclasses.replace(
+            DEFAULT_SCALE,
+            accesses_per_core=150,
+            warmup_per_core=150,
+            fast_mb=1.0,
+        )
+        assert len(cli.benchmarks) == 14
+        request = SimRequest.from_dict(
+            {"design": "PoM", "workload": "mcf", **_wire_fields(cli)}
+        )
+        sweep = SweepRequest.from_dict(
+            {
+                "designs": ["Chameleon", "PoM"],
+                "workloads": ["bwaves", "mcf"],
+                **_wire_fields(cli),
+            }
+        )
+        expanded = [r for r in sweep.cells() if r.cell == ("PoM", "mcf")]
+        batch = [SimpleNamespace(request=r) for r in sweep.cells()]
+        batch_scale = Dispatcher._batch_scale(batch)
+        assert batch_scale.benchmarks == ("bwaves", "mcf")
+
+        cache = ResultCache(tmp_path)
+        paths = {
+            cache.entry_path(scale, "PoM", "mcf")
+            for scale in (
+                cli,
+                request.scale(),
+                expanded[0].scale(),
+                batch_scale,
+            )
+        }
+        assert len(paths) == 1
+
+    def test_cli_sweep_warms_the_serve_cell(self, tmp_path):
+        """A cold CLI-style ``run`` leaves nothing for the serve path
+        (``run_cells`` on a request's own scale) to simulate."""
+        cli = tiny_scale(accesses=40, benchmarks=("mcf", "bwaves"))
+        grid = SweepExecutor(
+            jobs=1, cache=ResultCache(tmp_path), faults=None, arena=False
+        )
+        swept = grid.run(cli, ("PoM",))
+        assert grid.metrics.simulated == 2
+
+        request = SimRequest.from_dict(
+            {"design": "PoM", "workload": "bwaves", **_wire_fields(cli)}
+        )
+        serve = SweepExecutor(
+            jobs=1, cache=ResultCache(tmp_path), faults=None, arena=False
+        )
+        served = serve.run_cells(request.scale(), [request.cell])
+        assert serve.metrics.simulated == 0
+        assert served[request.cell] == swept[request.cell]
 
 
 # ----------------------------------------------------------------------
