@@ -756,12 +756,6 @@ def get_default_executor() -> SweepExecutor:
     return _default_executor
 
 
-def set_default_executor(executor: Optional[SweepExecutor]) -> None:
-    """Install (or, with ``None``, reset) the process-wide default."""
-    global _default_executor
-    _default_executor = executor
-
-
 __all__ = [
     "DEFAULT_DEGRADE_AFTER",
     "DEFAULT_RETRIES",
@@ -769,5 +763,4 @@ __all__ = [
     "SweepExecutor",
     "SweepResults",
     "get_default_executor",
-    "set_default_executor",
 ]

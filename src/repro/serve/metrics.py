@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Any, Deque, Dict, Optional
+from typing import Any, Deque, Dict
 
 #: Version of the ``GET /metrics`` payload shape.
 #: 2: ``dispatch.kernels`` — dispatched cells by resolved replay
@@ -122,13 +122,7 @@ class ServerMetrics:
             "simulated_p95_ms": round(percentile(sim_samples, 0.95) * 1e3, 3),
         }
 
-    def snapshot(
-        self,
-        *,
-        queue_depth: int,
-        in_flight: int,
-        executor_summary: Optional[str] = None,
-    ) -> Dict[str, Any]:
+    def snapshot(self, *, queue_depth: int, in_flight: int) -> Dict[str, Any]:
         """The ``GET /metrics`` payload (see docs/SERVING.md)."""
         return {
             "schema": METRICS_SCHEMA_VERSION,

@@ -17,7 +17,7 @@ import pytest
 from repro.config import scaled_config
 from repro.arch import FlatMemory, PoMArchitecture
 from repro.core import ChameleonArchitecture
-from repro.experiments.designs import REGISTRY
+from repro.experiments.designs import REGISTRY, kernel_decision
 from repro.experiments.runner import SMOKE_SCALE
 from repro.sim import KERNELS, KernelDecision, select_kernel, simulate
 from repro.stats import CounterSet, Histogram
@@ -116,6 +116,8 @@ class TestKernelSelection:
         assert decision == KernelDecision("batched-paged", "pager-segmented")
         assert decision.kernel == "batched-paged"
         assert decision.reason == "pager-segmented"
+        # The label-only path the executor, dispatcher and fuzzer use.
+        assert kernel_decision(label, config) == decision
 
     def test_pom_selects_batched(self, config):
         architecture = PoMArchitecture(config)
@@ -123,6 +125,10 @@ class TestKernelSelection:
         assert select_kernel(architecture, workload, False) == KernelDecision(
             "batched", "batch-capable"
         )
+        for label in ("PoM", "Chameleon", "Chameleon-Opt"):
+            assert kernel_decision(label, config) == KernelDecision(
+                "batched", "batch-capable"
+            )
 
     def test_decision_is_a_pair(self, config):
         """KernelDecision unpacks as a (kernel, reason) tuple."""

@@ -31,6 +31,9 @@ class TestCli:
     def test_unknown_experiment(self, capsys):
         assert main(["nope"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
+        # Kernel timing lives in perfbench and the CI speedup guard.
+        assert main(["bench"]) == 2
+        assert "unknown experiment 'bench'" in capsys.readouterr().err
 
     def test_table1_runs(self, capsys):
         assert main(["table1"]) == 0

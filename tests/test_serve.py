@@ -11,6 +11,7 @@ import asyncio
 import dataclasses
 import json
 import threading
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -463,8 +464,15 @@ class TestEndToEnd:
         )
         assert body["result"] == direct.to_dict()
 
-    def test_concurrent_duplicates_coalesce(self, served):
-        client, _ = served
+    def test_concurrent_duplicates_coalesce(self, tmp_path):
+        # A duplicate that arrives after the first job has finished is
+        # answered from the done table (a job hit, not a coalesce), so
+        # the server holds dispatch until all four are admitted.
+        srv = ServerThread(
+            port=0, cache=ResultCache(tmp_path / "cache"),
+            checkpoint_dir=tmp_path / "ckpt", hold=True,
+        ).start()
+        client = Client(port=srv.port)
         payload = {
             **TINY, "design": "Chameleon", "workload": "bwaves",
             "wait": True,
@@ -477,15 +485,23 @@ class TestEndToEnd:
         threads = [
             threading.Thread(target=post, args=(i,)) for i in range(4)
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        try:
+            for t in threads:
+                t.start()
+            deadline = time.monotonic() + 60.0
+            while client.metrics()["requests"]["coalesced"] < 3:
+                assert time.monotonic() < deadline, "duplicates not admitted"
+                time.sleep(0.01)
+            srv._loop.call_soon_threadsafe(srv.server.dispatcher.start)
+            for t in threads:
+                t.join()
 
-        assert len(set(raws)) == 1  # byte-identical responses
-        snap = client.metrics()
-        assert snap["dispatch"]["worker_cells"] == 1
-        assert snap["requests"]["coalesced"] == 3
+            assert len(set(raws)) == 1  # byte-identical responses
+            snap = client.metrics()
+            assert snap["dispatch"]["worker_cells"] == 1
+            assert snap["requests"]["coalesced"] == 3
+        finally:
+            srv.shutdown()
 
     def test_sweep_endpoint(self, served):
         client, _ = served
